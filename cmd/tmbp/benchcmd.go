@@ -57,8 +57,9 @@ func runBench(fs *flag.FlagSet, args []string) error {
 	// Per-policy abort-path rows: serial runs never abort, so the rows
 	// above cannot see what a policy does when it matters. These invoke
 	// Aborted directly with synthetic denials and waiting disabled,
-	// pricing the per-abort decision itself — karma's lock-free published-
-	// account ranking, timestamp's board lookup — in ns/op and allocs/op.
+	// pricing the per-abort decision itself — timestamp's lock-free board
+	// lookup, adaptive's and switching's abort-rate updates — in ns/op and
+	// allocs/op.
 	for _, policy := range stm.CMKinds() {
 		r, err := benchCMAbort(policy, *serialOps, *seed)
 		if err != nil {
@@ -132,7 +133,7 @@ func runBench(fs *flag.FlagSet, args []string) error {
 	}
 	t.Note("serial: one thread, %d 8-access read-modify-write txns; contended: GOMAXPROCS threads x %d single-word read-modify-write txns on a 256-entry table", *serialOps, *contOps)
 	t.Note("serial-cm-*: the serial workload on the tagged table under each contention-management policy (no aborts occur; this prices the policy plumbing on the hot path)")
-	t.Note("cmabort-*: the policy's Aborted callback invoked directly with synthetic writer/reader denials, waits disabled — the per-abort decision cost (karma ranks over the lock-free board, never a mutex)")
+	t.Note("cmabort-*: the policy's Aborted callback invoked directly with synthetic writer/reader denials, waits disabled — the per-abort decision cost (timestamp looks the opponent up on the lock-free board, never a mutex)")
 	t.Note("serial-ro-*: one thread, %d read-only txns of 8 reads over 8 distinct chunks; -acquire takes read ownership per chunk, -invisible validates version stamps and never touches the table", *serialOps)
 	t.Note("serial-skiplist: one thread driving the transactional skiplist's Get/Put/Delete point mix; -scan instead range-scans all 128 entries per txn — a ~130-block footprint that exercises the access set's spill table")
 	t.Note("allocs/op and B/op are process-wide malloc deltas per transaction; steady state must be 0")
@@ -395,8 +396,8 @@ func benchSkiplist(workload, kind, hashName string, entries uint64, ops int, see
 // with several registered threads so board-ranking policies have something
 // to rank over. BackoffBase = -1 disables all waiting, so ns/op is the
 // decision bookkeeping alone and allocs/op proves the abort path never
-// touches the heap — including karma's seniority ranking, which reads the
-// epoch-published board instead of taking the runtime mutex.
+// touches the heap — including timestamp's opponent lookup, which reads
+// the epoch-published board instead of taking the runtime mutex.
 func benchCMAbort(policy string, ops int, seed uint64) (benchResult, error) {
 	const threads = 8
 	h, err := hash.New("mask", 256)

@@ -29,7 +29,7 @@ func runLoad(fs *flag.FlagSet, args []string) error {
 	virtual := fs.Bool("virtual", false, "deterministic discrete-event run on a virtual clock (byte-reproducible per seed)")
 	structName := fs.String("struct", "all", "structure under load: hashmap | list | queue | skiplist | all")
 	table := fs.String("table", "tagged", "ownership table: tagless | tagged | sharded")
-	cm := fs.String("cm", "all", "contention policy: backoff | adaptive | karma | timestamp | switching | all")
+	cm := fs.String("cm", "all", "contention policy: backoff | adaptive | timestamp | switching | all")
 	arrival := fs.String("arrival", "poisson", "arrival process: fixed | poisson")
 	rate := fs.Float64("rate", 2e6, "mean arrivals per second")
 	workers := fs.Int("workers", 4, "servers: goroutines (wall clock) or simulated servers (-virtual)")

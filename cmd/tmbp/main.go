@@ -104,7 +104,7 @@ func commonFlags(fs *flag.FlagSet) func() figures.Options {
 	alphaF := fs.Int("alpha", 2, "reads per write in synthetic transactions")
 	hashName := fs.String("hash", "mask", "address hash: mask | fibonacci | mix")
 	kind := fs.String("kind", "tagless", "ownership table under test: tagless | tagged | sharded")
-	cm := fs.String("cm", "backoff", "STM contention-management policy: backoff | adaptive | karma | timestamp | switching")
+	cm := fs.String("cm", "backoff", "STM contention-management policy: backoff | adaptive | timestamp | switching")
 	scaleTxns := fs.Int("scale-txns", 0, "override scaling-experiment transactions per goroutine")
 	fallbackAfter := fs.Int("fallback-after", 0, "serial-fallback escalation threshold for the contended CM scaling runs (0 = optimistic only)")
 	record := fs.String("record", "", "directory to write opacity traces of the contended CM scaling runs (verify with 'tmbp check')")

@@ -116,10 +116,10 @@ func TestRunBenchSubcommandJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("bench -json emitted invalid JSON: %v\n%s", err, out)
 	}
-	// 3 serial + 5 serial-cm + 5 cmabort + 3x2 serial-ro + 3x2 skiplist
+	// 3 serial + 4 serial-cm + 4 cmabort + 3x2 serial-ro + 3x2 skiplist
 	// + 3 contended.
-	if rep.Schema != 1 || len(rep.Results) != 28 {
-		t.Fatalf("bench report shape: schema=%d results=%d, want 1/28", rep.Schema, len(rep.Results))
+	if rep.Schema != 1 || len(rep.Results) != 26 {
+		t.Fatalf("bench report shape: schema=%d results=%d, want 1/26", rep.Schema, len(rep.Results))
 	}
 	kinds := map[string]bool{}
 	for _, r := range rep.Results {
@@ -134,9 +134,9 @@ func TestRunBenchSubcommandJSON(t *testing.T) {
 	}
 	for _, want := range []string{
 		"serial/tagless", "serial/tagged", "serial/sharded", "contended/sharded",
-		"serial-cm-backoff/tagged", "serial-cm-adaptive/tagged", "serial-cm-karma/tagged",
+		"serial-cm-backoff/tagged", "serial-cm-adaptive/tagged",
 		"serial-cm-timestamp/tagged", "serial-cm-switching/tagged",
-		"cmabort-backoff/cm", "cmabort-karma/cm", "cmabort-timestamp/cm", "cmabort-switching/cm",
+		"cmabort-backoff/cm", "cmabort-timestamp/cm", "cmabort-switching/cm",
 		"serial-ro-acquire/tagless", "serial-ro-invisible/tagless",
 		"serial-ro-acquire/tagged", "serial-ro-invisible/tagged",
 		"serial-ro-acquire/sharded", "serial-ro-invisible/sharded",
@@ -246,10 +246,10 @@ func TestRunLoadSubcommandJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("load -json emitted invalid JSON: %v\n%s", err, out)
 	}
-	// 4 structures x 5 policies, plus the read-mostly hashmap and scan-heavy
-	// skiplist companion sweeps: 5 policies x {acquiring, invisible} each.
-	if rep.Schema != 1 || len(rep.Rows) != 40 {
-		t.Fatalf("load report shape: schema=%d rows=%d, want 1/40", rep.Schema, len(rep.Rows))
+	// 4 structures x 4 policies, plus the read-mostly hashmap and scan-heavy
+	// skiplist companion sweeps: 4 policies x {acquiring, invisible} each.
+	if rep.Schema != 1 || len(rep.Rows) != 32 {
+		t.Fatalf("load report shape: schema=%d rows=%d, want 1/32", rep.Schema, len(rep.Rows))
 	}
 	seen := map[string]bool{}
 	for _, r := range rep.Rows {
@@ -266,7 +266,7 @@ func TestRunLoadSubcommandJSON(t *testing.T) {
 		}
 	}
 	for _, structName := range []string{"hashmap", "list", "queue", "skiplist"} {
-		for _, cm := range []string{"backoff", "adaptive", "karma", "timestamp", "switching"} {
+		for _, cm := range []string{"backoff", "adaptive", "timestamp", "switching"} {
 			if !seen[structName+"/"+cm] {
 				t.Errorf("load report missing row %s/%s", structName, cm)
 			}

@@ -28,7 +28,7 @@ func runSTM(fs *flag.FlagSet, args []string, csv *bool) error {
 	entries := fs.Uint64("entries", 4096, "ownership table entries (power of two)")
 	txns := fs.Int("txns", 500, "transactions per thread")
 	seed := fs.Uint64("seed", 1, "random seed")
-	cm := fs.String("cm", "backoff", "STM contention-management policy: backoff | adaptive | karma | timestamp | switching")
+	cm := fs.String("cm", "backoff", "STM contention-management policy: backoff | adaptive | timestamp | switching")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

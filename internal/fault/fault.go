@@ -42,10 +42,10 @@ import (
 )
 
 // PhantomTx is the opponent the injector blames for spurious write-denials.
-// It is deliberately far outside the range of registered thread IDs: CM
-// policies that look the opponent up (karma, timestamp) find no registered
-// thread and fall back to their board-ranking path, which is the behavior
-// a real foreign table user would trigger.
+// It is deliberately far outside the range of registered thread IDs: a CM
+// policy that looks the opponent up (timestamp) finds no registered thread
+// and falls back to randomized backoff, which is the behavior a real
+// foreign table user would trigger.
 const PhantomTx otable.TxID = 0xfa_0175
 
 // Config selects the faults to inject. The zero value injects nothing.

@@ -49,8 +49,9 @@ type Options struct {
 	// Kind selects the ownership-table organization under test.
 	Kind string
 	// CM selects the STM contention-management policy for the live-runtime
-	// experiments ("backoff", "adaptive", "karma"); the scaling experiment
-	// additionally sweeps all policies in its contended comparison.
+	// experiments ("backoff", "adaptive", "timestamp", "switching"); the
+	// scaling experiment additionally sweeps all policies in its contended
+	// comparison.
 	CM string
 	// ScaleTxns is the transactions-per-goroutine count for the scaling
 	// experiment.

@@ -144,9 +144,9 @@ func cmName(o Options) string {
 // contended workload: every thread runs read-modify-write transactions
 // over the same small pool of hot blocks, so aborts are frequent and the
 // between-retry policy — not the table — decides throughput. This is the
-// scenario where adaptive feedback, karma seniority, and the
-// opponent-aware timestamp/switching policies (which wait on the specific
-// transaction that denied the acquire) are supposed to beat fixed backoff.
+// scenario where adaptive feedback and the opponent-aware
+// timestamp/switching policies (which wait on the specific transaction
+// that denied the acquire) are supposed to beat fixed backoff.
 func scaleCM(o Options) ([]*report.Table, error) {
 	policies := stm.CMKinds()
 	thr := report.New("Scaling: contended committed txns/sec by CM policy",

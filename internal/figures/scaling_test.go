@@ -22,7 +22,7 @@ func TestScaleSmoke(t *testing.T) {
 		"Scaling: contended committed txns/sec by CM policy",
 		"Scaling: contended abort rate by CM policy",
 		"Scaling: contended max consecutive aborts by CM policy",
-		"backoff", "adaptive", "karma",
+		"backoff", "adaptive", "timestamp", "switching",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -224,7 +224,7 @@ func TestVirtualLatencyMath(t *testing.T) {
 // and the row's counters are consistent.
 func TestWallClockRun(t *testing.T) {
 	sc := Scenario{
-		Struct: "hashmap", Table: "tagless", CM: "karma",
+		Struct: "hashmap", Table: "tagless", CM: "timestamp",
 		RatePerSec: 5e5, Workers: 4, Ops: 3000, Keys: 64, ZipfS: 1.1,
 	}
 	r, err := Run(sc)
@@ -258,7 +258,7 @@ func TestWallClockAnchoredAtDispatch(t *testing.T) {
 	wallSetupHook = func() { time.Sleep(pause) }
 	defer func() { wallSetupHook = nil }()
 	sc := Scenario{
-		Struct: "hashmap", Table: "tagless", CM: "karma",
+		Struct: "hashmap", Table: "tagless", CM: "timestamp",
 		RatePerSec: 1e6, Workers: 2, Ops: 500, Keys: 256,
 	}
 	r, err := Run(sc)

@@ -63,7 +63,7 @@ func TestLoadTracesOpaqueInvisible(t *testing.T) {
 	for _, table := range tmbp.TableKinds() {
 		log := opacity.NewLog()
 		sc := Scenario{
-			Struct: "hashmap", Table: table, CM: "karma",
+			Struct: "hashmap", Table: table, CM: "timestamp",
 			RatePerSec: 1e6, Workers: 4, Ops: 400, Keys: 16,
 			ZipfS: 1.2, ReadFrac: 0.9, Invisible: true,
 			TableEntries: 256, Recorder: log,

@@ -1,6 +1,7 @@
 package otable
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,12 +174,21 @@ func TestAcquireReportsOpponent(t *testing.T) {
 // word — this is the concurrent proof that the validation holds under
 // release/reuse churn (like stale handles, a stale owner must be
 // impossible, not just unlikely).
+//
+// Whether a prober ever meets a writer depends on the scheduler, so the
+// round repeats (up to maxRounds) until at least one conflict has been
+// checked; a table that drains after every round but never reports a
+// conflict fails rather than passing vacuously.
 func TestConflictTargetNeverStale(t *testing.T) {
 	const (
-		writers = 4
-		probers = 3
-		iters   = 5000
-		hot     = addr.Block(11)
+		writers   = 4
+		probers   = 3
+		iters     = 5000
+		maxRounds = 20
+		// holdYieldEvery is how often a writer yields the CPU while it
+		// holds the hot block, so probers run against a held record.
+		holdYieldEvery = 64
+		hot            = addr.Block(11)
 	)
 	for _, kind := range Kinds() {
 		t.Run(kind, func(t *testing.T) {
@@ -188,47 +198,55 @@ func TestConflictTargetNeverStale(t *testing.T) {
 			}
 			var bogus atomic.Int64
 			var conflictsSeen atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					tx := TxID(id + 1) // writer IDs: 1..writers
-					for i := 0; i < iters; i++ {
-						if out, _ := tab.AcquireWrite(tx, hot, 0); out == Granted {
-							tab.ReleaseWrite(tx, hot)
+			for round := 1; round <= maxRounds && conflictsSeen.Load() == 0; round++ {
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(id int) {
+						defer wg.Done()
+						tx := TxID(id + 1) // writer IDs: 1..writers
+						for i := 0; i < iters; i++ {
+							if out, _ := tab.AcquireWrite(tx, hot, 0); out == Granted {
+								if i%holdYieldEvery == 0 {
+									// Yield while holding: on a loaded or
+									// single CPU the goroutines otherwise run
+									// back to back and never overlap.
+									runtime.Gosched()
+								}
+								tab.ReleaseWrite(tx, hot)
+							}
 						}
-					}
-				}(w)
-			}
-			for p := 0; p < probers; p++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					tx := TxID(100 + id) // disjoint from the writer set
-					for i := 0; i < iters; i++ {
-						out, ci := tab.AcquireRead(tx, hot)
-						if out == Granted {
-							tab.ReleaseRead(tx, hot)
-							continue
+					}(w)
+				}
+				for p := 0; p < probers; p++ {
+					wg.Add(1)
+					go func(id int) {
+						defer wg.Done()
+						tx := TxID(100 + id) // disjoint from the writer set
+						for i := 0; i < iters; i++ {
+							out, ci := tab.AcquireRead(tx, hot)
+							if out == Granted {
+								tab.ReleaseRead(tx, hot)
+								continue
+							}
+							conflictsSeen.Add(1)
+							w, ok := ci.Writer()
+							if !ok || w < 1 || w > writers {
+								bogus.Add(1)
+							}
 						}
-						conflictsSeen.Add(1)
-						w, ok := ci.Writer()
-						if !ok || w < 1 || w > writers {
-							bogus.Add(1)
-						}
-					}
-				}(p)
-			}
-			wg.Wait()
-			if n := bogus.Load(); n != 0 {
-				t.Fatalf("%d conflicts reported an opponent outside the writer set", n)
+					}(p)
+				}
+				wg.Wait()
+				if n := bogus.Load(); n != 0 {
+					t.Fatalf("round %d: %d conflicts reported an opponent outside the writer set", round, n)
+				}
+				if occ := tab.Occupied(); occ != 0 {
+					t.Fatalf("round %d: occupancy after drain = %d", round, occ)
+				}
 			}
 			if conflictsSeen.Load() == 0 {
-				t.Skip("no conflicts materialized; nothing verified this run")
-			}
-			if occ := tab.Occupied(); occ != 0 {
-				t.Fatalf("occupancy after drain = %d", occ)
+				t.Fatalf("no conflict in %d rounds: the opponent check never ran", maxRounds)
 			}
 		})
 	}

@@ -13,8 +13,8 @@ import (
 // the literature it sits in (Why TM Should Not Be Obstruction-Free, On the
 // Cost of Concurrency in TM) argues the CM policy — not the table — decides
 // whether contended workloads make progress, and its progressive policies
-// (greedy, timestamp, karma) all hinge on knowing *which* transaction denied
-// an acquire. The ownership tables surface exactly that: every denial
+// (greedy, timestamp) hinge on knowing *which* transaction denied an
+// acquire. The ownership tables surface exactly that: every denial
 // carries an otable.ConflictInfo naming the owning writer (or the foreign
 // sharer count), extracted from the same state word the acquire linearized
 // on. The policy is pluggable: Atomic's retry loop consults a per-thread CM
@@ -25,7 +25,7 @@ import (
 // identical across them (the oracle tests drive every policy through
 // identical workloads to prove it).
 //
-// Five policies are built in:
+// Four policies are built in:
 //
 //   - backoff: randomized exponential backoff in scheduler yields, the
 //     original fixed policy. Simple and livelock-free in practice, but it
@@ -37,15 +37,6 @@ import (
 //     conflicts are cheap); a thread that keeps aborting backs off toward
 //     the full budget (thrashing is expensive). The feedback state is
 //     thread-local — reading it costs nothing and contends with no one.
-//   - karma: seniority by invested work. Every aborted attempt deposits the
-//     attempt's access-set size into the thread's karma account, published
-//     in its padded counter block; the senior of two conflicting aborters
-//     retries immediately, the junior yields with the backoff skeleton.
-//     With a conflict target the comparison is O(1) against the one
-//     opponent that matters; anonymous reader conflicts fall back to a
-//     ranking scan over the epoch-published board — an atomic pointer
-//     load, never the runtime mutex. Aborting keeps raising a loser's
-//     karma, so no transaction stays junior forever.
 //   - timestamp: the greedy policy of the Scherer/Scott and Guerraoui
 //     lineage, adapted to self-abort. A conflicted transaction draws a
 //     monotone timestamp on its first abort (lower = older = senior) and
@@ -68,15 +59,15 @@ import (
 
 // CM is the per-thread contention manager consulted by Atomic's retry
 // loop. Implementations are owned by a single thread and need no internal
-// synchronization (shared feedback state, as in karma and timestamp, must
-// synchronize on its own). Aborted may block; that is the point — but a
+// synchronization (shared feedback state, such as timestamp's published
+// stamp, must synchronize on its own). Aborted may block; that is the point — but a
 // block must be interruptible: every built-in policy waits through the
 // thread's waiter, whose yield loops poll the in-flight AtomicCtx context
 // and give up as soon as it is cancelled. Custom policies that wait should
 // poll Thread.Cancelled the same way, or cancellation is only honored
 // between attempts.
 type CM interface {
-	// Kind names the policy ("backoff", "adaptive", "karma", ...).
+	// Kind names the policy ("backoff", "adaptive", "timestamp", ...).
 	Kind() string
 	// Aborted is called after a conflict-aborted attempt, before the retry.
 	// attempt is the 1-based attempt number that just failed; footprint is
@@ -93,7 +84,7 @@ type CM interface {
 
 // CMKinds lists the built-in contention-management policies.
 func CMKinds() []string {
-	return []string{"backoff", "adaptive", "karma", "timestamp", "switching"}
+	return []string{"backoff", "adaptive", "timestamp", "switching"}
 }
 
 // validCM reports whether name selects a built-in policy ("" = backoff).
@@ -121,8 +112,6 @@ func newCM(rt *Runtime, th *Thread) CM {
 		return &backoffCM{w: w, base: base, max: max}
 	case "adaptive":
 		return &adaptiveCM{w: w, base: base, max: max}
-	case "karma":
-		return &karmaCM{w: w, rt: rt, ctr: th.ctr, base: base, max: max}
 	case "timestamp":
 		return &timestampCM{w: w, rt: rt, ctr: th.ctr, base: base, max: max}
 	case "switching":
@@ -255,82 +244,6 @@ func (w *waiter) awaitOpponent(opp *threadCounters, oppStamp uint64, maxYields i
 			return
 		}
 	}
-}
-
-// karmaCM orders aborters by invested work. karma is the thread-local
-// account; its value is mirrored into the thread's padded counter block so
-// other threads' policies can rank themselves against it without sharing
-// any other state. Ties are broken by thread ID, so exactly one contender
-// is senior at any instant and symmetric conflicts cannot livelock.
-//
-// When the denial names a writer, seniority is decided against that one
-// opponent (the transaction whose completion actually unblocks the slot);
-// anonymous reader denials rank against every registered thread. Both
-// reads go through the runtime's epoch-published board — one atomic
-// pointer load, no mutex on the abort path.
-type karmaCM struct {
-	w         *waiter
-	rt        *Runtime
-	ctr       *threadCounters
-	base, max int
-	karma     uint64
-}
-
-func (c *karmaCM) Kind() string { return "karma" }
-
-func (c *karmaCM) Aborted(attempt, footprint int, opp otable.ConflictInfo) {
-	c.karma += uint64(footprint) + 1
-	c.ctr.karma.Store(c.karma)
-	senior := false
-	if w, ok := opp.Writer(); ok {
-		if ob := c.rt.counterFor(w); ob != nil && ob != c.ctr {
-			senior = !c.loses(ob)
-		} else {
-			// The denier is not a registered thread (a foreign table user):
-			// rank against the whole board, as for anonymous readers.
-			senior = c.seniorOverall()
-		}
-	} else {
-		senior = c.seniorOverall()
-	}
-	if senior {
-		// Seniority earns a short leash, not a spin: retry on an eighth of
-		// the junior backoff budget.
-		c.w.backoff(c.base, seniorYieldCap(c.max), attempt)
-		return
-	}
-	c.w.backoff(c.base, c.max, attempt)
-}
-
-func (c *karmaCM) Committed(int) {
-	c.karma = 0
-	c.ctr.karma.Store(0)
-}
-
-// loses reports whether this thread ranks below o by (karma, thread ID).
-func (c *karmaCM) loses(o *threadCounters) bool {
-	k := o.karma.Load()
-	return k > c.karma || (k == c.karma && o.id > c.ctr.id)
-}
-
-// seniorOverall reports whether this thread holds the highest (karma,
-// thread ID) among all registered threads, scanning the epoch-published
-// board. O(threads), but lock-free: the board is republished on thread
-// registration and read with one atomic load here.
-func (c *karmaCM) seniorOverall() bool {
-	b := c.rt.board.Load()
-	if b == nil {
-		return true
-	}
-	for _, o := range *b {
-		if o == nil || o == c.ctr {
-			continue
-		}
-		if c.loses(o) {
-			return false
-		}
-	}
-	return true
 }
 
 // timestampCM is the greedy/timestamp policy: conflicted transactions are

@@ -90,8 +90,8 @@ func checkScenario(t *testing.T, rt *Runtime, errs []error, want map[int]uint64)
 // both hold their first block before either tries the second. Under 2PL
 // with self-abort this cannot deadlock but can livelock — each retry can
 // re-collide forever if the policy retries in lockstep. Every policy must
-// break the symmetry (backoff/adaptive by randomized waits, karma by the
-// seniority tie-break) and commit both threads within the abort budget.
+// break the symmetry (backoff/adaptive by randomized waits, timestamp by
+// unique stamps) and commit both threads within the abort budget.
 func TestCMSymmetricLivelock(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		for _, policy := range CMKinds() {
@@ -249,10 +249,10 @@ func TestCMUpgradeDeadlock(t *testing.T) {
 // TestCMConvoy forces the convoy shape: one leader transaction holds a hot
 // block while several followers pile up behind it, each provably denied at
 // least once before the leader is allowed to commit. The policies differ
-// in *how* the followers wait — backoff blindly, karma by seniority,
-// timestamp by watching the leader's completion counter — but all must
-// drain the convoy promptly once the leader releases, with every increment
-// intact and aborts bounded.
+// in *how* the followers wait — backoff blindly, timestamp by watching the
+// leader's completion counter — but all must drain the convoy promptly
+// once the leader releases, with every increment intact and aborts
+// bounded.
 func TestCMConvoy(t *testing.T) {
 	const followers = 3
 	for _, kind := range otable.Kinds() {
@@ -639,7 +639,7 @@ func TestCustomCMHook(t *testing.T) {
 		t.Fatalf("counting CM saw committed=%d aborted=%d, want 3/0", c.committed, c.aborted)
 	}
 	// A user panic terminates the transaction and must still deliver the
-	// completion callback (karma/abort-rate state resets on every exit).
+	// completion callback (stamp/abort-rate state resets on every exit).
 	func() {
 		defer func() { _ = recover() }()
 		_ = th.Atomic(func(tx *Tx) error { panic("user bug") })
@@ -651,8 +651,8 @@ func TestCustomCMHook(t *testing.T) {
 
 // TestCMPoliciesUnderHammer drives every policy through genuine goroutine
 // contention on a tiny table (the all-kinds hammer shape) — run under
-// -race this doubles as the data-race check on the karma policy's shared
-// seniority board.
+// -race this doubles as the data-race check on the timestamp policy's
+// published stamps.
 func TestCMPoliciesUnderHammer(t *testing.T) {
 	for _, policy := range CMKinds() {
 		t.Run(policy, func(t *testing.T) {

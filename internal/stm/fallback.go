@@ -71,8 +71,8 @@ func (rt *Runtime) serialAcquire(th *Thread) error {
 	// their records are released before finished is bumped).
 	board := rt.board.Load()
 	for _, c := range *board {
-		if c == th.ctr {
-			continue
+		if c == nil || c == th.ctr {
+			continue // registration hole (a higher ID published first), or self
 		}
 		for c.started.Load() != c.finished.Load() {
 			if th.cancelled() {

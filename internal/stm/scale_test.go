@@ -3,6 +3,7 @@ package stm
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tmbp/internal/hash"
 	"tmbp/internal/otable"
@@ -14,7 +15,7 @@ import (
 // on a deliberately small table. Run under -race this exercises the CAS
 // entries (tagless), the lock-free record chains and release-by-handle
 // (tagged), the shard routing plus per-thread runtime counters (sharded),
-// and the karma policy's shared seniority board; the exact-sum assertion
+// and the timestamp policy's published stamps; the exact-sum assertion
 // proves serializability is identical across policies.
 func TestAtomicHammerAllKinds(t *testing.T) {
 	for _, kind := range otable.Kinds() {
@@ -113,5 +114,16 @@ func TestStatsAggregatesPerThreadCounters(t *testing.T) {
 	}
 	if got := rt.Memory().LoadDirect(a); got != 10 {
 		t.Fatalf("memory word = %d, want 10", got)
+	}
+}
+
+// TestThreadCountersFillTwoCacheLines pins the per-thread counter block to
+// exactly 128 bytes. The padding after the counters is computed by hand
+// from their number, so adding or removing a counter without fixing it
+// would let two threads' blocks share a cache line and bounce it on every
+// commit.
+func TestThreadCountersFillTwoCacheLines(t *testing.T) {
+	if got := unsafe.Sizeof(threadCounters{}); got != 128 {
+		t.Fatalf("sizeof(threadCounters) = %d, want 128", got)
 	}
 }

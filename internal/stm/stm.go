@@ -14,8 +14,8 @@
 // table slots: permissions are acquired before data access and held until
 // commit or abort, which yields serializable transactions. Contention
 // management is self-abort with a pluggable between-retry policy — fixed
-// exponential backoff, abort-rate-adaptive backoff, karma seniority,
-// greedy/timestamp opponent waiting, or abort-rate-driven switching —
+// exponential backoff, abort-rate-adaptive backoff, greedy/timestamp
+// opponent waiting, or abort-rate-driven switching —
 // selected by Config.CM (see the CM interface in cm.go). Denied acquires
 // report the denying opponent (otable.ConflictInfo), which the runtime
 // hands to the policy's Aborted callback so opponent-aware policies can
@@ -184,7 +184,7 @@ type Config struct {
 	// it must be < 1.
 	FuzzYield float64
 	// CM selects the contention-management policy by name: "backoff"
-	// (default), "adaptive", "karma", "timestamp", or "switching". See the
+	// (default), "adaptive", "timestamp", or "switching". See the
 	// CM interface. All policies draw their waiting bounds from
 	// BackoffBase/BackoffMax (BackoffBase = -1 disables all waiting,
 	// including the opponent-completion waits of the opponent-aware
@@ -243,10 +243,10 @@ type Runtime struct {
 	mu sync.Mutex // serializes board republication (NewThread)
 	// board is the sole thread registry: the epoch-published slice of
 	// counter blocks indexed by TxID-1. NewThread copies, extends, and
-	// republishes it under mu; readers — Stats aggregation, the CM
-	// policies resolving a conflict target to its opponent's published
-	// karma/stamp/progress, and the karma seniority scan — take one
-	// atomic pointer load and never the mutex.
+	// republishes it under mu; readers — Stats aggregation, the serial
+	// fallback's drain, and the CM policies resolving a conflict target to
+	// its opponent's published stamp/progress — take one atomic pointer
+	// load and never the mutex.
 	board atomic.Pointer[[]*threadCounters]
 }
 
@@ -265,18 +265,16 @@ func (rt *Runtime) counterFor(id otable.TxID) *threadCounters {
 // is its own heap allocation padded to two cache lines, so no two threads'
 // counters ever share a line and the increments on the commit path stay
 // core-local. The block doubles as the thread's public contention-management
-// face: karma is the published seniority account the karma policy ranks
-// threads by, stamp is the transaction timestamp the greedy/timestamp
-// policy orders opponents by, and commits+aborts serve as a progress
-// counter an opponent-aware policy can watch to detect "the transaction
-// that denied me has completed an attempt (and so released its slots)".
-// Fields unused by the active policy stay zero.
+// face: stamp is the transaction timestamp the greedy/timestamp policy
+// orders opponents by, and commits+aborts serve as a progress counter an
+// opponent-aware policy can watch to detect "the transaction that denied me
+// has completed an attempt (and so released its slots)". Fields unused by
+// the active policy stay zero.
 type threadCounters struct {
 	commits atomic.Uint64
 	aborts  atomic.Uint64
 	ntReads atomic.Uint64 // strong-isolation non-transactional probes
 	ntConfl atomic.Uint64 // strong-isolation probes denied by a transaction
-	karma   atomic.Uint64 // published karma account (karma CM policy only)
 	stamp   atomic.Uint64 // published transaction timestamp (timestamp CM; 0 = unstamped)
 	// started/finished bracket attempts (incremented at Begin and after
 	// the releasing commit/rollback respectively), so started == finished
@@ -300,8 +298,7 @@ type threadCounters struct {
 	roValAborts atomic.Uint64
 	roPromotes  atomic.Uint64
 	roExtends   atomic.Uint64
-	id          otable.TxID // owning thread, for deterministic seniority tie-breaks
-	_           [128 - 14*8 - 4]byte
+	_           [128 - 13*8]byte
 }
 
 // completions reports how many attempts (commits or aborts) the thread has
@@ -430,7 +427,7 @@ func (s Stats) AbortRate() float64 {
 // Runtime for the runtime's lifetime so that Stats can aggregate it.
 func (rt *Runtime) NewThread() *Thread {
 	id := otable.TxID(rt.nextID.Add(1))
-	ctr := &threadCounters{id: id}
+	ctr := &threadCounters{}
 	rt.mu.Lock()
 	// Republish the board with the new block (copy-on-write: concurrent
 	// lock-free readers keep the old epoch's slice). IDs are sequential,
@@ -630,7 +627,7 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		if ctx != nil && ctx.Err() != nil {
 			// Between attempts: the previous attempt (if any) has rolled
 			// back and released its records. Give the CM its completion
-			// callback so per-transaction state (stamps, karma) resets.
+			// callback so per-transaction state (stamps, abort rates) resets.
 			if th.desc.Attempts > 0 {
 				th.cm.Committed(th.lastFP)
 			}
@@ -727,7 +724,7 @@ func (th *Thread) attempt(fn func(tx *Tx) error) (err error, conflicted bool) {
 			if r != any(conflictSentinel) {
 				th.rollback()
 				// A user panic terminates the transaction: give the CM its
-				// completion callback (resetting karma/abort-rate state)
+				// completion callback (resetting stamp/abort-rate state)
 				// before propagating, as for any other completion.
 				th.cm.Committed(th.lastFP)
 				panic(r) // user panic: release ownership, propagate

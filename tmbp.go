@@ -20,9 +20,8 @@
 //     state, and commit-time release by record handle with no table
 //     re-walk. Denied acquires name the denying opponent (ConflictInfo),
 //     so the contention managers — fixed backoff, abort-rate-adaptive
-//     backoff, lock-free karma seniority, greedy/timestamp opponent
-//     waiting, and abort-rate-driven switching — can wait on the specific
-//     transaction that blocked them;
+//     backoff, greedy/timestamp opponent waiting, and abort-rate-driven
+//     switching — can wait on the specific transaction that blocked them;
 //   - the analytical model (conflict likelihood ∝ C(C−1)(1+2α)W²/2N) and
 //     its birthday-paradox underpinnings;
 //   - simulators and synthetic workloads reproducing Figures 2-6.
@@ -120,7 +119,7 @@ type CM = stm.CM
 type ConflictInfo = otable.ConflictInfo
 
 // CMKinds lists the built-in contention-management policies ("backoff",
-// "adaptive", "karma", "timestamp", "switching").
+// "adaptive", "timestamp", "switching").
 func CMKinds() []string { return stm.CMKinds() }
 
 // AbortError is the typed error Thread.Atomic and Thread.AtomicCtx return
